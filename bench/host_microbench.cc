@@ -1,7 +1,7 @@
 // Host-level microbenchmarks (google-benchmark) of the simulator's own
 // primitives: fiber switching, scheduler throughput, rootfs codec, config
-// resolution. These measure the reproduction infrastructure itself, not the
-// simulated guest.
+// resolution, journal/trace emission. These measure the reproduction
+// infrastructure itself, not the simulated guest.
 #include <benchmark/benchmark.h>
 
 #include "src/apps/rootfs_builder.h"
@@ -10,7 +10,9 @@
 #include "src/kbuild/builder.h"
 #include "src/kconfig/presets.h"
 #include "src/kconfig/resolver.h"
+#include "src/telemetry/export.h"
 #include "src/util/fiber.h"
+#include "tests/telemetry/tie_heavy_record.h"
 
 namespace {
 
@@ -75,6 +77,28 @@ void BM_KernelImageBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelImageBuild);
+
+// Journal/metrics emission layer, on a serving-shaped record: ~3,400 of its
+// ~6,500 events tie at at=0, so the canonical sort leans on its tie-break.
+void BM_JournalSnapshotTies(benchmark::State& state) {
+  const telemetry::testing::TieHeavyRecord record;
+  for (auto _ : state) {
+    auto events = record.journal.Snapshot(true);
+    benchmark::DoNotOptimize(events.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(record.journal.size()));
+}
+BENCHMARK(BM_JournalSnapshotTies)->Unit(benchmark::kMillisecond);
+
+void BM_ToChromeTrace(benchmark::State& state) {
+  const telemetry::testing::TieHeavyRecord record;
+  for (auto _ : state) {
+    std::string trace = telemetry::ToChromeTrace(record.timelines, record.journal, record.counters);
+    benchmark::DoNotOptimize(trace.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(record.journal.size()));
+}
+BENCHMARK(BM_ToChromeTrace)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -140,7 +140,6 @@ VmTaskResult RunOneVm(const ScenarioSpec& spec, const VmEntrySpec& entry,
       plans.push_back(std::move(plan));
     }
     if (group.threads) {
-      WorkerPlan* leader = members.front();
       guestos::Process* process = workload::SpawnProcess(
           k, group.name, [&spec, members, t0](SyscallApi& sys) {
             auto done = std::make_shared<int>(0);

@@ -1,17 +1,33 @@
 #include "src/telemetry/export.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <tuple>
 
 namespace lupine::telemetry {
 namespace {
 
-// %.17g keeps doubles round-trippable; trailing ".0" is not required by JSON.
+// Fixed six decimals (%.6f): a stable, diff-friendly rendering for metric
+// summaries. Not round-trippable — digits past the sixth decimal are lost.
 std::string Num(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.6f", v);
   return buf;
+}
+
+// printf's %.<precision>f, appended without a temporary. to_chars with a
+// precision is specified to format exactly as printf does.
+void AppendFixed(std::string* out, double v, int precision) {
+  char buf[400];  // Room for the widest double in fixed notation.
+  out->append(buf,
+              std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed, precision).ptr);
+}
+
+void AppendInt(std::string* out, int64_t v) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 std::string LabelsJson(const Labels& labels) {
@@ -96,71 +112,102 @@ std::string ToChromeTrace(const std::vector<SpanTrace>& timelines) {
 
 std::string ToChromeTrace(const std::vector<SpanTrace>& timelines, const Journal& journal,
                           const std::vector<CounterSeries>& counters) {
-  struct Entry {
+  const std::vector<Event> events = journal.Snapshot();
+
+  // One small reference per trace entry. Sorting on (at, kind, index) is the
+  // stable by-time order of spans, then journal instants (already canonical),
+  // then counter points; ts is then monotone within every tid, which trace
+  // validators check. Each entry is then rendered once, straight into `out`.
+  enum Kind : uint32_t { kSpan, kInstant, kCounter };
+  struct Ref {
     Nanos at;
-    std::string line;
+    Kind kind;
+    uint32_t outer;  // timeline, event or series index
+    uint32_t inner;  // span or point index
   };
-  std::vector<Entry> entries;
-
-  for (size_t tid = 0; tid < timelines.size(); ++tid) {
-    for (const Span& span : timelines[tid].spans()) {
-      char nums[120];
-      std::snprintf(nums, sizeof(nums),
-                    "\", \"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %zu}",
-                    ToMicros(span.start), ToMicros(span.duration()), tid);
-      entries.push_back({span.start, "{\"name\": \"" + JsonEscape(span.name) + nums});
+  std::vector<Ref> refs;
+  refs.reserve(events.size());
+  for (uint32_t tid = 0; tid < timelines.size(); ++tid) {
+    const std::vector<Span>& spans = timelines[tid].spans();
+    for (uint32_t i = 0; i < spans.size(); ++i) {
+      refs.push_back({spans[i].start, kSpan, tid, i});
     }
   }
+  for (uint32_t i = 0; i < events.size(); ++i) {
+    refs.push_back({events[i].at, kInstant, i, 0});
+  }
+  for (uint32_t s = 0; s < counters.size(); ++s) {
+    for (uint32_t i = 0; i < counters[s].points.size(); ++i) {
+      refs.push_back({counters[s].points[i].first, kCounter, s, i});
+    }
+  }
+  std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
+    return std::tie(a.at, a.kind, a.outer, a.inner) < std::tie(b.at, b.kind, b.outer, b.inner);
+  });
 
-  // Journal events become thread-scoped instants. An integer "worker" field
-  // pins the instant to that worker's thread row; everything else lands on
-  // tid 0. All fields ride along under args for inspection in the UI.
-  for (const Event& event : journal.Snapshot()) {
-    long long tid = 0;
-    std::string args = "{";
-    for (size_t i = 0; i < event.fields.size(); ++i) {
-      const Field& field = event.fields[i];
-      if (field.key == "worker") {
-        if (const auto* w = std::get_if<int64_t>(&field.value)) {
-          tid = *w;
+  std::string out;
+  out.reserve(refs.size() * 160 + 4);
+  out += '[';
+  for (size_t r = 0; r < refs.size(); ++r) {
+    const Ref& ref = refs[r];
+    out += r == 0 ? "\n  " : ",\n  ";
+    switch (ref.kind) {
+      case kSpan: {
+        const Span& span = timelines[ref.outer].spans()[ref.inner];
+        out += "{\"name\": \"";
+        AppendJsonEscaped(&out, span.name);
+        out += "\", \"ph\": \"X\", \"ts\": ";
+        AppendFixed(&out, ToMicros(span.start), 3);
+        out += ", \"dur\": ";
+        AppendFixed(&out, ToMicros(span.duration()), 3);
+        out += ", \"pid\": 1, \"tid\": ";
+        AppendInt(&out, ref.outer);
+        out += '}';
+        break;
+      }
+      case kInstant: {
+        // Journal events become thread-scoped instants. An integer "worker"
+        // field pins the instant to that worker's thread row; everything
+        // else lands on tid 0. All fields ride along under args.
+        const Event& event = events[ref.outer];
+        int64_t tid = 0;
+        for (const Field& field : event.fields) {
+          if (const auto* w = std::get_if<int64_t>(&field.value); w && field.key == "worker") {
+            tid = *w;
+          }
         }
+        out += "{\"name\": \"";
+        AppendJsonEscaped(&out, event.source);
+        out += '/';
+        AppendJsonEscaped(&out, event.type);
+        out += "\", \"ph\": \"i\", \"s\": \"t\", \"ts\": ";
+        AppendFixed(&out, ToMicros(event.at), 3);
+        out += ", \"pid\": 1, \"tid\": ";
+        AppendInt(&out, tid);
+        out += ", \"args\": {";
+        for (size_t i = 0; i < event.fields.size(); ++i) {
+          out += i == 0 ? "\"" : ", \"";
+          AppendJsonEscaped(&out, event.fields[i].key);
+          out += "\": ";
+          AppendFieldValueJson(&out, event.fields[i].value);
+        }
+        out += "}}";
+        break;
       }
-      if (i > 0) {
-        args += ", ";
+      case kCounter: {
+        const auto& [at, value] = counters[ref.outer].points[ref.inner];
+        out += "{\"name\": \"";
+        AppendJsonEscaped(&out, counters[ref.outer].name);
+        out += "\", \"ph\": \"C\", \"ts\": ";
+        AppendFixed(&out, ToMicros(at), 3);
+        out += ", \"pid\": 1, \"tid\": 0, \"args\": {\"value\": ";
+        AppendFixed(&out, value, 6);
+        out += "}}";
+        break;
       }
-      args += '"' + JsonEscape(field.key) + "\": " + FieldValueToJson(field.value);
-    }
-    args += '}';
-    char nums[120];
-    std::snprintf(nums, sizeof(nums),
-                  "\", \"ph\": \"i\", \"s\": \"t\", \"ts\": %.3f, \"pid\": 1, \"tid\": %lld, "
-                  "\"args\": ",
-                  ToMicros(event.at), tid);
-    entries.push_back({event.at, "{\"name\": \"" + JsonEscape(event.source) + "/" +
-                                     JsonEscape(event.type) + nums + args + "}"});
-  }
-
-  for (const CounterSeries& series : counters) {
-    for (const auto& [at, value] : series.points) {
-      char nums[140];
-      std::snprintf(nums, sizeof(nums),
-                    "\", \"ph\": \"C\", \"ts\": %.3f, \"pid\": 1, \"tid\": 0, "
-                    "\"args\": {\"value\": %.6f}}",
-                    ToMicros(at), value);
-      entries.push_back({at, "{\"name\": \"" + JsonEscape(series.name) + nums});
     }
   }
-
-  // One array, globally (stably) ordered by virtual time: ts is then
-  // monotone within every tid, which trace validators check.
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) { return a.at < b.at; });
-
-  std::string out = "[";
-  for (size_t i = 0; i < entries.size(); ++i) {
-    out += (i == 0 ? "\n  " : ",\n  ") + entries[i].line;
-  }
-  out += entries.empty() ? "]" : "\n]";
+  out += refs.empty() ? "]" : "\n]";
   return out;
 }
 

@@ -14,6 +14,8 @@
 // multiset (the execute-once / replay-deterministically fleet pattern)
 // yield byte-identical exports across 1/2/4/8 workers. Host-racy sources
 // that have no virtual timeline stamp at=0 and ride the canonical sort.
+// Each export serializes every event exactly once and sorts on the
+// precomputed lines, outside the lock, so emitters never wait on it.
 //
 // Memory is bounded: each source gets a drop-oldest ring (default 4096
 // events); overflow increments a per-source dropped counter that is
@@ -65,8 +67,9 @@ struct CounterSeries {
   std::vector<std::pair<Nanos, double>> points;  // (virtual ns, value)
 };
 
-// Renders one FieldValue as a JSON scalar (strings quoted + escaped).
-std::string FieldValueToJson(const FieldValue& value);
+// Appends one FieldValue to `out` as a JSON scalar (strings quoted +
+// escaped, doubles as %.17g).
+void AppendFieldValueJson(std::string* out, const FieldValue& value);
 
 // Renders one event as a single JSON object line (no trailing newline):
 //   {"at":1234,"source":"fleet","type":"steal","worker":1,"victim":0}
@@ -111,6 +114,18 @@ class Journal {
     std::deque<Event> events;
     uint64_t dropped = 0;
   };
+
+  // The retained events in canonical order, each serialized once.
+  struct Canonical {
+    std::vector<Event> events;       // ring order
+    std::vector<std::string> lines;  // lines[i] == EventToJsonLine(events[i])
+    std::vector<uint32_t> order;     // canonical order, as indices into both
+    std::vector<std::pair<std::string, uint64_t>> dropped;  // sources that dropped
+  };
+
+  // Copies the rings (and drop counts) under mu_; serializes and sorts on
+  // (at, source, type, line) outside it. Snapshot and ExportJsonl share it.
+  Canonical CanonicalOrder(bool include_schedule_scoped) const;
 
   const size_t ring_capacity_;
   mutable std::mutex mu_;

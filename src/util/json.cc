@@ -1,6 +1,5 @@
 #include "src/util/json.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -9,34 +8,44 @@ namespace lupine {
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
+  AppendJsonEscaped(&out, s);
+  return out;
+}
+
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  // Characters that need no escape are copied in runs, not one at a time.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned char>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escaped[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out->append(escaped, sizeof(escaped));
+      }
     }
   }
-  return out;
+  out->append(s.data() + run, s.size() - run);
 }
 
 const JsonValue* JsonValue::Find(std::string_view key) const {

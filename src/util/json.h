@@ -32,6 +32,10 @@ namespace lupine {
 // 0x20 (\n, \t, \r named; the rest as \u00XX).
 std::string JsonEscape(std::string_view s);
 
+// JsonEscape appended to `out` — for renderers that build one document in a
+// single buffer without a temporary per string.
+void AppendJsonEscaped(std::string* out, std::string_view s);
+
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
