@@ -1,6 +1,5 @@
 #include "src/core/multik.h"
 
-#include <cassert>
 #include <chrono>
 #include <functional>
 #include <sstream>
@@ -40,20 +39,22 @@ std::unique_ptr<vmm::Vm> KernelCache::AppArtifact::Launch(Bytes memory,
 }
 
 std::string KernelCache::ConfigFingerprint(const kconfig::Config& config) {
-  // Canonical text: sorted option=value lines + build knobs. (EnabledOptions
-  // is already sorted; Config::name deliberately excluded — two differently
-  // named but identical configs produce identical kernels.)
-  std::ostringstream key;
-  kconfig::ValueViewGuard guard(config);  // GetValue views held across the loop.
-  for (const auto& option : config.EnabledOptions()) {
-    key << option << "=" << config.GetValue(option) << ";";
+  // Canonical text: name-sorted option=value pairs + build knobs.
+  // (Config::name deliberately excluded — two differently named but
+  // identical configs produce identical kernels.)
+  std::vector<const std::string*> names;
+  const std::vector<kconfig::OptionId> ids = config.EnabledIdsByName(&names);
+  std::string key;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    key += *names[i];
+    key += '=';
+    key += config.ValueOfId(ids[i]);
+    key += ';';
   }
-  assert(guard.Check() && "config mutated while fingerprinting");
-  (void)guard;
-  key << "mode=" << (config.compile_mode() == kconfig::CompileMode::kOs ? "Os" : "O2");
-  key << ";kml=" << (config.kml_patch_applied() ? 1 : 0);
+  key += config.compile_mode() == kconfig::CompileMode::kOs ? "mode=Os" : "mode=O2";
+  key += config.kml_patch_applied() ? ";kml=1" : ";kml=0";
   // Content address: a stable hash over the canonical text.
-  return std::to_string(std::hash<std::string>{}(key.str()));
+  return std::to_string(std::hash<std::string>{}(key));
 }
 
 Result<KernelCache::ArtifactPtr> KernelCache::GetOrBuild(const std::string& app) {
@@ -318,7 +319,7 @@ Result<KernelCache::ProvisionPlan> KernelCache::PlanProvisioning(const std::stri
   plan.kernel_cost =
       provision_costs_.kernel_base +
       provision_costs_.kernel_per_option *
-          static_cast<Nanos>(spec.config.EnabledOptions().size());
+          static_cast<Nanos>(spec.config.EnabledCount());
   plan.rootfs_cost = provision_costs_.rootfs;
   return plan;
 }

@@ -29,7 +29,6 @@ void Config::Disable(const std::string& option) {
   bits::Clear(enabled_, id);
   valued_.erase(id);
   ++value_generation_;
-  --present_count_;
 }
 
 bool Config::IsEnabled(const std::string& option) const {
@@ -39,10 +38,7 @@ bool Config::IsEnabled(const std::string& option) const {
 
 void Config::SetValue(const std::string& option, const std::string& value) {
   OptionId id = OptionInterner::Global().Intern(option);
-  if (!bits::Test(present_, id)) {
-    bits::Set(present_, id);
-    ++present_count_;
-  }
+  bits::Set(present_, id);
   if (value == "y") {
     valued_.erase(id);
   } else {
@@ -62,10 +58,7 @@ std::string_view Config::GetValue(const std::string& option) const {
 }
 
 void Config::EnableId(OptionId id) {
-  if (!bits::Test(present_, id)) {
-    bits::Set(present_, id);
-    ++present_count_;
-  }
+  bits::Set(present_, id);
   bits::Set(enabled_, id);
   valued_.erase(id);  // Enable overwrites any explicit value with "y".
   ++value_generation_;
@@ -79,19 +72,50 @@ std::string_view Config::ValueOfId(OptionId id) const {
   return it == valued_.end() ? std::string_view("y") : std::string_view(it->second);
 }
 
+size_t Config::EnabledCount() const {
+  size_t count = 0;
+  for (uint64_t word : enabled_) {
+    count += static_cast<size_t>(__builtin_popcountll(word));
+  }
+  return count;
+}
+
 std::vector<OptionId> Config::EnabledIds() const {
   std::vector<OptionId> out;
-  out.reserve(present_count_);
+  out.reserve(EnabledCount());
   ForEachBit(enabled_, [&](OptionId id) { out.push_back(id); });
   return out;
 }
 
+std::vector<OptionId> Config::EnabledIdsByName(std::vector<const std::string*>* names) const {
+  std::vector<OptionId> ids = EnabledIds();
+  const std::shared_ptr<const NameOrder> order =
+      OptionInterner::Global().NameOrderCovering(ids);
+  for (OptionId& id : ids) {
+    id = order->RankOf(id);
+  }
+  std::sort(ids.begin(), ids.end());
+  if (names != nullptr) {
+    names->resize(ids.size());
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const uint32_t rank = ids[i];
+    ids[i] = order->IdAt(rank);
+    if (names != nullptr) {
+      (*names)[i] = &order->NameAt(rank);
+    }
+  }
+  return ids;
+}
+
 std::vector<std::string> Config::EnabledOptions() const {
-  const auto& interner = OptionInterner::Global();
+  std::vector<const std::string*> names;
+  EnabledIdsByName(&names);
   std::vector<std::string> out;
-  out.reserve(present_count_);
-  ForEachBit(enabled_, [&](OptionId id) { out.push_back(interner.NameOf(id)); });
-  std::sort(out.begin(), out.end());
+  out.reserve(names.size());
+  for (const std::string* name : names) {
+    out.push_back(*name);
+  }
   return out;
 }
 
@@ -109,10 +133,7 @@ std::vector<std::string> Config::Minus(const Config& other) const {
 
 void Config::UnionWith(const Config& other) {
   ForEachBit(other.enabled_, [&](OptionId id) {
-    if (!bits::Test(present_, id)) {
-      bits::Set(present_, id);
-      ++present_count_;
-    }
+    bits::Set(present_, id);
     bits::Set(enabled_, id);
     auto it = other.valued_.find(id);
     if (it == other.valued_.end()) {
@@ -142,8 +163,7 @@ bool Config::IsSubsetOf(const Config& other) const {
 }
 
 bool Config::operator==(const Config& other) const {
-  return present_count_ == other.present_count_ && bits::Equal(present_, other.present_) &&
-         valued_ == other.valued_;
+  return bits::Equal(present_, other.present_) && valued_ == other.valued_;
 }
 
 }  // namespace lupine::kconfig

@@ -56,10 +56,17 @@ class Config {
   std::string_view ValueOfId(OptionId id) const;
   // Enabled ids in ascending id order.
   std::vector<OptionId> EnabledIds() const;
+  // Enabled ids in lexicographic name order: the canonical order of
+  // EnabledOptions, fingerprints and validation. Sorts 4-byte ranks from
+  // the interner's NameOrder snapshot, never strings. When `names` is
+  // non-null it receives each id's name, parallel to the result (pointers
+  // valid for the process lifetime).
+  std::vector<OptionId> EnabledIdsByName(std::vector<const std::string*>* names = nullptr) const;
   // Raw membership bitset of enabled (value != "n") options.
   const std::vector<uint64_t>& enabled_bits() const { return enabled_; }
 
-  size_t EnabledCount() const { return present_count_; }
+  // Options IsEnabled answers true for (an explicit "n" entry is not one).
+  size_t EnabledCount() const;
   // Enabled option names, sorted lexicographically.
   std::vector<std::string> EnabledOptions() const;
 
@@ -100,7 +107,6 @@ class Config {
   std::vector<uint64_t> enabled_;
   // Values other than the implicit "y", keyed by id (includes "n" entries).
   std::unordered_map<OptionId, std::string> valued_;
-  size_t present_count_ = 0;
   CompileMode compile_mode_ = CompileMode::kO2;
   bool kml_patch_applied_ = false;
   uint64_t value_generation_ = 0;

@@ -34,9 +34,11 @@ std::string Unquote(const std::string& s) {
 std::string ToDotConfig(const Config& config, const OptionDb* db) {
   std::ostringstream out;
   out << "#\n# Automatically generated file; DO NOT EDIT.\n# " << config.name() << "\n#\n";
-  for (const auto& name : config.EnabledOptions()) {
-    const std::string_view value = config.GetValue(name);
-    out << kPrefix << name << "=";
+  std::vector<const std::string*> names;
+  const std::vector<OptionId> ids = config.EnabledIdsByName(&names);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const std::string_view value = config.ValueOfId(ids[i]);
+    out << kPrefix << *names[i] << "=";
     if (NeedsQuotes(value)) {
       out << '"' << value << '"';
     } else {

@@ -1,5 +1,6 @@
 #include "src/kconfig/interning.h"
 
+#include <algorithm>
 #include <mutex>
 
 namespace lupine::kconfig {
@@ -10,6 +11,8 @@ OptionInterner& OptionInterner::Global() {
   static OptionInterner* interner = new OptionInterner();
   return *interner;
 }
+
+OptionInterner::OptionInterner() : name_order_(std::make_shared<const NameOrder>()) {}
 
 OptionId OptionInterner::Intern(std::string_view name) {
   {
@@ -44,6 +47,56 @@ const std::string& OptionInterner::NameOf(OptionId id) const {
 size_t OptionInterner::size() const {
   std::shared_lock lock(mu_);
   return names_.size();
+}
+
+std::shared_ptr<const NameOrder> OptionInterner::NameOrderCovering(
+    const std::vector<OptionId>& ids) {
+  auto covers = [&ids](const NameOrder& order) {
+    return std::all_of(ids.begin(), ids.end(), [&](OptionId id) { return order.Ranks(id); });
+  };
+  {
+    std::shared_lock lock(order_mu_);
+    if (covers(*name_order_)) {
+      return name_order_;
+    }
+  }
+  std::unique_lock lock(order_mu_);
+  const NameOrder& old = *name_order_;
+  std::vector<NameOrder::Entry> fresh;
+  {
+    std::shared_lock names_lock(mu_);
+    for (OptionId id : ids) {
+      if (!old.Ranks(id)) {
+        fresh.push_back({&names_[id], id});
+      }
+    }
+  }
+  if (fresh.empty()) {
+    return name_order_;  // A racing caller already ranked them.
+  }
+  auto by_name = [](const NameOrder::Entry& a, const NameOrder::Entry& b) {
+    return *a.name < *b.name;
+  };
+  std::sort(fresh.begin(), fresh.end(), by_name);
+  fresh.erase(std::unique(fresh.begin(), fresh.end(),
+                          [](const auto& a, const auto& b) { return a.id == b.id; }),
+              fresh.end());
+  // Names are unique, so merging the sorted fresh entries into the ranked
+  // ones is a total order; then every entry is re-ranked.
+  auto order = std::make_shared<NameOrder>();
+  order->by_rank_.resize(old.by_rank_.size() + fresh.size());
+  std::merge(old.by_rank_.begin(), old.by_rank_.end(), fresh.begin(), fresh.end(),
+             order->by_rank_.begin(), by_name);
+  OptionId max_id = 0;
+  for (const auto& entry : fresh) {
+    max_id = std::max(max_id, entry.id);
+  }
+  order->rank_.assign(std::max<size_t>(old.rank_.size(), max_id + 1), NameOrder::kUnranked);
+  for (uint32_t rank = 0; rank < order->by_rank_.size(); ++rank) {
+    order->rank_[order->by_rank_[rank].id] = rank;
+  }
+  name_order_ = std::move(order);
+  return name_order_;
 }
 
 }  // namespace lupine::kconfig

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -22,6 +23,31 @@ namespace lupine::kconfig {
 
 using OptionId = uint32_t;
 inline constexpr OptionId kNoOption = 0xFFFFFFFFu;
+
+// An immutable lexicographic ranking of a subset of interned names: canonical
+// orderings (fingerprints, validation, sorted name lists) compare 4-byte
+// ranks instead of strings and read names without the interner lock. Ranks
+// are only comparable within one snapshot.
+class NameOrder {
+ public:
+  bool Ranks(OptionId id) const { return id < rank_.size() && rank_[id] != kUnranked; }
+  // The id must be ranked here.
+  uint32_t RankOf(OptionId id) const { return rank_[id]; }
+  OptionId IdAt(uint32_t rank) const { return by_rank_[rank].id; }
+  // Valid for the process lifetime, like OptionInterner::NameOf.
+  const std::string& NameAt(uint32_t rank) const { return *by_rank_[rank].name; }
+
+ private:
+  friend class OptionInterner;
+  static constexpr uint32_t kUnranked = 0xFFFFFFFFu;
+  struct Entry {
+    const std::string* name;
+    OptionId id;
+  };
+
+  std::vector<uint32_t> rank_;  // By id; kUnranked when absent.
+  std::vector<Entry> by_rank_;
+};
 
 // Thread-safe append-only string table. NameOf() references stay valid for
 // the process lifetime (names live in a deque and are never removed).
@@ -41,12 +67,23 @@ class OptionInterner {
 
   size_t size() const;
 
+  // A name-order snapshot that ranks every id in `ids` (each must have been
+  // returned by Intern). The published snapshot is replaced only when asked
+  // to cover an id it does not rank yet: the new ids are merged in, so only
+  // names some caller ordered are ever ranked, and the steady state is one
+  // shared lock with no string work.
+  std::shared_ptr<const NameOrder> NameOrderCovering(const std::vector<OptionId>& ids);
+
  private:
-  OptionInterner() = default;
+  OptionInterner();
 
   mutable std::shared_mutex mu_;
   std::deque<std::string> names_;                      // Stable references.
   std::unordered_map<std::string_view, OptionId> ids_; // Views into names_.
+
+  // Guards the name_order_ pointer; acquired before mu_, never after it.
+  std::shared_mutex order_mu_;
+  std::shared_ptr<const NameOrder> name_order_;
 };
 
 // Fixed-width bitset helpers shared by Config and the resolver (word = 64

@@ -1,6 +1,5 @@
 #include "src/kconfig/resolver.h"
 
-#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <memory>
@@ -19,6 +18,11 @@ const std::string& NameOf(OptionId id) { return OptionInterner::Global().NameOf(
 
 OptionId KmlId() {
   static const OptionId id = OptionInterner::Global().Intern(names::kKml);
+  return id;
+}
+
+OptionId ModulesId() {
+  static const OptionId id = OptionInterner::Global().Intern(names::kModules);
   return id;
 }
 
@@ -210,18 +214,14 @@ Result<ResolveReport> Resolver::EnableWalk(Config& config, OptionId root) const 
 }
 
 Status Resolver::Validate(const Config& config) const {
-  OptionId modules = OptionInterner::Global().Intern(names::kModules);
   // Lexicographic order (not id order) so the first-reported violation
   // matches the original string-keyed implementation byte for byte.
-  std::vector<OptionId> ids = config.EnabledIds();
-  std::sort(ids.begin(), ids.end(),
-            [](OptionId a, OptionId b) { return NameOf(a) < NameOf(b); });
-  for (OptionId id : ids) {
+  for (OptionId id : config.EnabledIdsByName()) {
     const OptionDb::OptionEdges* edges = db_.EdgesById(id);
     if (edges == nullptr) {
       return UnknownOptionError(id);
     }
-    if (config.ValueOfId(id) == "m" && !config.IsEnabledId(modules)) {
+    if (config.ValueOfId(id) == "m" && !config.IsEnabledId(ModulesId())) {
       return Status(Err::kInval, "CONFIG_" + NameOf(id) +
                                      "=m requires CONFIG_MODULES (loadable module support)");
     }

@@ -89,10 +89,22 @@ struct FaultPlan {
   }
   // Convenience constructors for the two common shapes.
   FaultPlan& FireOnce(FaultSite site, uint64_t nth) {
-    return Add({.site = site, .trigger_on = nth, .max_fires = 1});
+    return Add({.site = site,
+                .trigger_on = nth,
+                .period = 0,
+                .probability = 0.0,
+                .max_fires = 1,
+                .app = {},
+                .stall = 0});
   }
   FaultPlan& FireAlways(FaultSite site, int max_fires = -1) {
-    return Add({.site = site, .trigger_on = 1, .period = 1, .max_fires = max_fires});
+    return Add({.site = site,
+                .trigger_on = 1,
+                .period = 1,
+                .probability = 0.0,
+                .max_fires = max_fires,
+                .app = {},
+                .stall = 0});
   }
   // The plan as seen by one application: rules filtered to those whose
   // `app` is empty or matches. Deterministic per app — forked per-task

@@ -24,6 +24,20 @@ TEST(ConfigTest, ValuedOptions) {
   EXPECT_EQ(c.GetValue("MISSING"), "");
 }
 
+TEST(ConfigTest, ExplicitNIsNotCounted) {
+  Config c;
+  c.Enable("X");
+  c.SetValue("Y", "n");
+  EXPECT_FALSE(c.IsEnabled("Y"));
+  EXPECT_EQ(c.EnabledCount(), 1u);
+  EXPECT_EQ(c.EnabledCount(), c.EnabledOptions().size());
+  c.SetValue("Y", "4");  // Re-enabled with a value.
+  EXPECT_EQ(c.EnabledCount(), 2u);
+  c.SetValue("X", "n");
+  EXPECT_EQ(c.EnabledCount(), 1u);
+  EXPECT_EQ(c.EnabledOptions(), std::vector<std::string>{"Y"});
+}
+
 TEST(ConfigTest, MinusComputesDifference) {
   Config a;
   a.Enable("X");
