@@ -1,5 +1,6 @@
 // Host-level microbenchmarks (google-benchmark) of the simulator's own
-// primitives: fiber switching, scheduler throughput, rootfs codec, config
+// primitives: fiber switching and lifecycle, scheduler throughput, guest
+// syscall metric publication, rootfs codec, config
 // resolution, fingerprinting and validation, kernel image builds (serial and
 // on 4 threads), journal/trace emission. These measure the reproduction
 // infrastructure itself, not the simulated guest.
@@ -11,10 +12,12 @@
 #include "src/core/multik.h"
 #include "src/guestos/rootfs.h"
 #include "src/guestos/sched.h"
+#include "src/guestos/trace.h"
 #include "src/kbuild/builder.h"
 #include "src/kconfig/presets.h"
 #include "src/kconfig/resolver.h"
 #include "src/telemetry/export.h"
+#include "src/telemetry/metrics.h"
 #include "src/util/fiber.h"
 #include "tests/telemetry/tie_heavy_record.h"
 
@@ -37,6 +40,18 @@ void BM_FiberSwitch(benchmark::State& state) {
 }
 BENCHMARK(BM_FiberSwitch);
 
+// A guest thread's whole life: create, run to completion, destroy. Covers
+// taking a stack from the pool and handing it back.
+void BM_FiberCreateRun(benchmark::State& state) {
+  int runs = 0;
+  for (auto _ : state) {
+    Fiber fiber([&runs] { ++runs; });
+    fiber.Resume();
+  }
+  benchmark::DoNotOptimize(runs);
+}
+BENCHMARK(BM_FiberCreateRun);
+
 void BM_SchedulerYieldPair(benchmark::State& state) {
   for (auto _ : state) {
     VirtualClock clock;
@@ -54,6 +69,35 @@ void BM_SchedulerYieldPair(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchedulerYieldPair);
+
+// Guest syscall metric publication on the mix of one scenario-corpus pass
+// (~16k accounted syscalls over 15 syscall kinds), into a fresh registry.
+void BM_PublishSyscallMetrics(benchmark::State& state) {
+  const std::pair<kbuild::Sys, int> kMix[] = {
+      {kbuild::Sys::kRead, 3707},        {kbuild::Sys::kWrite, 3771},
+      {kbuild::Sys::kOpen, 72},          {kbuild::Sys::kClose, 60},
+      {kbuild::Sys::kStat, 343},         {kbuild::Sys::kBrk, 96},
+      {kbuild::Sys::kFork, 60},          {kbuild::Sys::kWait4, 60},
+      {kbuild::Sys::kGetppid, 1789},     {kbuild::Sys::kNanosleep, 227},
+      {kbuild::Sys::kClockGettime, 690}, {kbuild::Sys::kSchedYield, 60},
+      {kbuild::Sys::kFutex, 180},        {kbuild::Sys::kSendto, 2400},
+      {kbuild::Sys::kRecvfrom, 2400},
+  };
+  guestos::TraceLog trace;
+  for (const auto& [nr, count] : kMix) {
+    for (int i = 0; i < count; ++i) {
+      trace.AccountSyscall(nr, 40 + i % 13);
+    }
+  }
+  for (auto _ : state) {
+    telemetry::MetricRegistry registry;
+    guestos::PublishSyscallMetrics(trace, registry, "hello-world", /*kml=*/true);
+    benchmark::DoNotOptimize(&registry);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(trace.accounted_syscalls()));
+}
+BENCHMARK(BM_PublishSyscallMetrics)->Unit(benchmark::kMicrosecond);
 
 void BM_RootfsFormatParse(benchmark::State& state) {
   std::string blob = apps::BuildAppRootfsForApp("redis", true);

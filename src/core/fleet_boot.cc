@@ -24,7 +24,7 @@ struct BootTask {
   // marks the one task per key that cold-boots and publishes the snapshot;
   // every other same-key task restores (and depends on the capture task in
   // the schedule, so the lookup cannot race).
-  std::string snapshot_key;
+  std::string snapshot_key{};
   bool snapshot_capture = false;
 };
 

@@ -29,9 +29,7 @@ void PublishSyscallMetrics(const TraceLog& trace, telemetry::MetricRegistry& reg
       // The adjusted mean keeps the histogram's sum (hence mean) exact.
       const double body = static_cast<double>(stat.total_ns - stat.min_ns - stat.max_ns) /
                           static_cast<double>(rest);
-      for (uint64_t i = 0; i < rest; ++i) {
-        hist.Observe(body);
-      }
+      hist.ObserveRepeated(body, rest);
     }
   }
 }

@@ -39,9 +39,10 @@ void MixRead(ActionCtx& ctx) {
 }
 
 void MixWrite(ActionCtx& ctx) {
+  static const std::string kPayload(64, 'w');
   EnsureDevFds(ctx);
   if (ctx.dev_null >= 0) {
-    (void)ctx.sys->Write(ctx.dev_null, std::string(64, 'w'));
+    (void)ctx.sys->Write(ctx.dev_null, kPayload);
   }
 }
 
@@ -108,44 +109,43 @@ const MixEntry kMixMenu[] = {
     {"futex", MixFutex},
 };
 
-void RunMixedSyscall(std::string_view name, ActionCtx& ctx) {
+void (*MixRunner(std::string_view name))(ActionCtx&) {
   for (const MixEntry& entry : kMixMenu) {
     if (name == entry.name) {
-      entry.run(ctx);
-      return;
+      return entry.run;
     }
   }
+  return nullptr;
 }
 
 // ---- actions ----------------------------------------------------------------
+// Each body reads action.nums by its registry entry's parameter order.
 
-void RunSyscallMix(const ActionSpec& action, ActionCtx& ctx) {
-  double total = 0.0;
-  for (const auto& [name, weight] : action.mix) {
-    total += weight;
-  }
-  if (total <= 0.0) {
+void RunSyscallMix(const BoundAction& action, ActionCtx& ctx) {
+  if (action.mix_total <= 0.0) {
     return;
   }
-  const auto count = static_cast<uint64_t>(NumOr(action, "count", 1));
+  const auto count = static_cast<uint64_t>(action.nums[0]);  // count
   for (uint64_t i = 0; i < count; ++i) {
-    double draw = ctx.prng.NextDouble() * total;
-    for (const auto& [name, weight] : action.mix) {
+    double draw = ctx.prng.NextDouble() * action.mix_total;
+    for (const auto& [weight, run] : action.mix) {
       draw -= weight;
       if (draw < 0.0) {
-        RunMixedSyscall(name, ctx);
+        if (run != nullptr) {
+          run(ctx);
+        }
         break;
       }
     }
   }
 }
 
-void RunCompute(const ActionSpec& action, ActionCtx& ctx) {
-  ctx.sys->Compute(static_cast<Nanos>(NumOr(action, "us", 10) * kNanosPerMicro));
+void RunCompute(const BoundAction& action, ActionCtx& ctx) {
+  ctx.sys->Compute(static_cast<Nanos>(action.nums[0] * kNanosPerMicro));  // us
 }
 
-void RunMemTouch(const ActionSpec& action, ActionCtx& ctx) {
-  const Bytes length = static_cast<Bytes>(NumOr(action, "kb", 64)) * kKiB;
+void RunMemTouch(const BoundAction& action, ActionCtx& ctx) {
+  const Bytes length = static_cast<Bytes>(action.nums[0]) * kKiB;  // kb
   if (ctx.heap_bytes < length) {
     if (ctx.sys->BrkGrow(length - ctx.heap_bytes).ok()) {
       ctx.heap_bytes = length;
@@ -154,47 +154,44 @@ void RunMemTouch(const ActionSpec& action, ActionCtx& ctx) {
   (void)ctx.sys->TouchHeap(0, length);
 }
 
-void RunBrkGrow(const ActionSpec& action, ActionCtx& ctx) {
-  const Bytes grow = static_cast<Bytes>(NumOr(action, "kb", 16)) * kKiB;
+void RunBrkGrow(const BoundAction& action, ActionCtx& ctx) {
+  const Bytes grow = static_cast<Bytes>(action.nums[0]) * kKiB;  // kb
   if (ctx.sys->BrkGrow(grow).ok()) {
     ctx.heap_bytes += grow;
   }
 }
 
-void RunSend(const ActionSpec& action, ActionCtx& ctx) {
-  auto it = ctx.channels.find(action.strs.at("channel"));
-  if (it == ctx.channels.end()) {
+void RunSend(const BoundAction& action, ActionCtx& ctx) {
+  if (action.channel < 0) {
     return;
   }
-  const auto bytes = static_cast<size_t>(NumOr(action, "bytes", 100));
-  const auto count = static_cast<uint64_t>(NumOr(action, "count", 1));
-  const std::string msg(bytes, 'm');
+  const ChannelEnds& ends = ctx.channels[action.channel];
+  const auto count = static_cast<uint64_t>(action.nums[1]);  // count
   for (uint64_t m = 0; m < count; ++m) {
-    for (int fd : it->second.out_fds) {
-      if (it->second.kind == ChannelKind::kPipe) {
-        (void)ctx.sys->Write(fd, msg);
+    for (int fd : ends.out_fds) {
+      if (ends.kind == ChannelKind::kPipe) {
+        (void)ctx.sys->Write(fd, action.message);
       } else {
-        (void)ctx.sys->Send(fd, msg);
+        (void)ctx.sys->Send(fd, action.message);
       }
     }
   }
 }
 
-void RunRecv(const ActionSpec& action, ActionCtx& ctx) {
-  auto it = ctx.channels.find(action.strs.at("channel"));
-  if (it == ctx.channels.end()) {
+void RunRecv(const BoundAction& action, ActionCtx& ctx) {
+  if (action.channel < 0) {
     return;
   }
-  const auto bytes = static_cast<size_t>(NumOr(action, "bytes", 100));
-  const auto count = static_cast<uint64_t>(NumOr(action, "count", 1));
+  const ChannelEnds& ends = ctx.channels[action.channel];
+  const auto bytes = static_cast<size_t>(action.nums[0]);   // bytes
+  const auto count = static_cast<uint64_t>(action.nums[1]);  // count
   for (uint64_t m = 0; m < count; ++m) {
-    for (int fd : it->second.in_fds) {
+    for (int fd : ends.in_fds) {
       size_t got = 0;
       while (got < bytes) {
-        Result<std::string> data =
-            it->second.kind == ChannelKind::kPipe
-                ? ctx.sys->Read(fd, bytes - got)
-                : ctx.sys->Recv(fd, bytes - got);
+        Result<std::string> data = ends.kind == ChannelKind::kPipe
+                                       ? ctx.sys->Read(fd, bytes - got)
+                                       : ctx.sys->Recv(fd, bytes - got);
         if (!data.ok() || data.value().empty()) {
           return;  // Peer closed; a mismatched spec shows up as short recv.
         }
@@ -204,11 +201,11 @@ void RunRecv(const ActionSpec& action, ActionCtx& ctx) {
   }
 }
 
-void RunFutexContend(const ActionSpec& action, ActionCtx& ctx) {
+void RunFutexContend(const BoundAction& action, ActionCtx& ctx) {
   // The stress.cc baton: workers take strict turns on one futex word,
   // blocking until the word is theirs (mod group size), then waking the
   // rest. One action call advances this worker `rounds` turns.
-  const auto rounds = static_cast<int>(NumOr(action, "rounds", 1));
+  const auto rounds = static_cast<int>(action.nums[0]);  // rounds
   int* word = ctx.group->word.get();
   const int workers = ctx.group->workers;
   for (int r = 0; r < rounds; ++r) {
@@ -226,17 +223,17 @@ void RunFutexContend(const ActionSpec& action, ActionCtx& ctx) {
   }
 }
 
-void RunSemLock(const ActionSpec& action, ActionCtx& ctx) {
+void RunSemLock(const BoundAction& action, ActionCtx& ctx) {
   workload::SemWait(*ctx.sys, ctx.group->sem.get());
-  ctx.sys->Compute(static_cast<Nanos>(NumOr(action, "compute_ns", 120)));
+  ctx.sys->Compute(static_cast<Nanos>(action.nums[0]));  // compute_ns
   workload::SemPost(*ctx.sys, ctx.group->sem.get());
   ctx.sys->SchedYield();  // Hand the semaphore to a sibling.
 }
 
-void RunForkWork(const ActionSpec& action, ActionCtx& ctx) {
-  const auto units = static_cast<int>(NumOr(action, "units", 1));
-  const auto compute = static_cast<Nanos>(NumOr(action, "compute_us", 1500) * kNanosPerMicro);
-  const auto write_bytes = static_cast<size_t>(NumOr(action, "write_kb", 8)) * kKiB;
+void RunForkWork(const BoundAction& action, ActionCtx& ctx) {
+  const auto units = static_cast<int>(action.nums[0]);                       // units
+  const auto compute = static_cast<Nanos>(action.nums[1] * kNanosPerMicro);  // compute_us
+  const auto write_bytes = static_cast<size_t>(action.nums[2]) * kKiB;       // write_kb
   for (int u = 0; u < units; ++u) {
     const std::string path =
         "/tmp/fw_" + std::to_string(ctx.worker) + "_" + std::to_string(ctx.scratch++ % 16);
@@ -255,11 +252,11 @@ void RunForkWork(const ActionSpec& action, ActionCtx& ctx) {
   }
 }
 
-void RunSleep(const ActionSpec& action, ActionCtx& ctx) {
-  ctx.sys->Nanosleep(static_cast<Nanos>(NumOr(action, "us", 100) * kNanosPerMicro));
+void RunSleep(const BoundAction& action, ActionCtx& ctx) {
+  ctx.sys->Nanosleep(static_cast<Nanos>(action.nums[0] * kNanosPerMicro));  // us
 }
 
-void RunYield(const ActionSpec& action, ActionCtx& ctx) {
+void RunYield(const BoundAction& action, ActionCtx& ctx) {
   (void)action;
   ctx.sys->SchedYield();
 }
@@ -325,9 +322,33 @@ const std::vector<std::string>& MixableSyscalls() {
   return kNames;
 }
 
-double NumOr(const ActionSpec& action, const char* key, double def) {
-  auto it = action.nums.find(key);
-  return it == action.nums.end() ? def : it->second;
+BoundAction BindAction(const ActionSpec& action, const std::vector<ChannelSpec>& channels) {
+  BoundAction bound;
+  bound.def = FindAction(action.op);
+  if (bound.def == nullptr) {
+    return bound;
+  }
+  for (const NumParam& param : bound.def->nums) {
+    auto it = action.nums.find(param.key);
+    bound.nums.push_back(it == action.nums.end() ? param.def : it->second);
+  }
+  for (const auto& [name, weight] : action.mix) {
+    bound.mix.emplace_back(weight, MixRunner(name));
+    bound.mix_total += weight;
+  }
+  auto channel = action.strs.find("channel");
+  if (bound.def->channel_ref && channel != action.strs.end()) {
+    for (size_t i = 0; i < channels.size(); ++i) {
+      if (channels[i].name == channel->second) {
+        bound.channel = static_cast<int>(i);
+        break;
+      }
+    }
+  }
+  if (bound.def->run == RunSend) {
+    bound.message.assign(static_cast<size_t>(bound.nums[0]), 'm');  // bytes
+  }
+  return bound;
 }
 
 }  // namespace lupine::loadspec

@@ -22,7 +22,6 @@
 #ifndef SRC_LOADSPEC_ACTIONS_H_
 #define SRC_LOADSPEC_ACTIONS_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -60,7 +59,9 @@ struct ActionCtx {
   Prng prng;
   int worker = 0;
   GroupShared* group = nullptr;
-  std::map<std::string, ChannelEnds> channels;
+  // Indexed like ScenarioSpec::channels; channels that do not reach this
+  // worker stay empty.
+  std::vector<ChannelEnds> channels;
 
   int dev_zero = -1;
   int dev_null = -1;
@@ -82,13 +83,29 @@ struct StrParam {
   bool required = false;
 };
 
+struct BoundAction;
+
 struct ActionDef {
   const char* op;
   std::vector<NumParam> nums;
   std::vector<StrParam> strs;
   bool takes_mix = false;       // accepts the "mix" object
   bool channel_ref = false;     // "channel" names a declared channel
-  void (*run)(const ActionSpec& action, ActionCtx& ctx);
+  void (*run)(const BoundAction& action, ActionCtx& ctx);
+};
+
+// An ActionSpec resolved against the registry and the spec's channels once,
+// before any worker runs, so the per-iteration path does no string lookup.
+// Immutable while the scenario runs: VMs on different host threads share it.
+struct BoundAction {
+  const ActionDef* def = nullptr;
+  std::vector<double> nums;  // def->nums order, defaults filled in
+  // syscall_mix (weight, menu entry) pairs in spec order; an entry is null
+  // for a name outside the menu. mix_total sums the weights in that order.
+  std::vector<std::pair<double, void (*)(ActionCtx&)>> mix;
+  double mix_total = 0.0;
+  int channel = -1;          // index into ActionCtx::channels; -1 = none
+  std::string message;       // send's payload
 };
 
 // The registry, in stable order.
@@ -98,8 +115,9 @@ const ActionDef* FindAction(std::string_view op);
 // Names accepted inside a syscall_mix "mix" object.
 const std::vector<std::string>& MixableSyscalls();
 
-// Numeric parameter lookup with the registry default.
-double NumOr(const ActionSpec& action, const char* key, double def);
+// Resolves `action` for a spec whose channels are `channels`. Returns a
+// BoundAction with a null def for an op outside the registry.
+BoundAction BindAction(const ActionSpec& action, const std::vector<ChannelSpec>& channels);
 
 }  // namespace lupine::loadspec
 

@@ -37,6 +37,7 @@ Result<unikernels::LinuxVariantSpec> VariantFor(const std::string& name) {
 // channel-wiring pass can both reach it.
 struct WorkerPlan {
   const GroupSpec* group = nullptr;
+  const std::vector<BoundAction>* actions = nullptr;  // the group's, bound
   int worker = 0;
   std::unique_ptr<ActionCtx> ctx = std::make_unique<ActionCtx>();
   guestos::Process* process = nullptr;  // fd-install target
@@ -61,10 +62,8 @@ void RunWorkerLoop(SyscallApi& sys, const ScenarioSpec& spec, WorkerPlan* plan,
       const double intensity = IntensityAt(spec.phases, next_release - t0);
       next_release += static_cast<Nanos>(static_cast<double>(group.period) / intensity);
     }
-    for (const ActionSpec& action : group.actions) {
-      if (const ActionDef* def = FindAction(action.op)) {
-        def->run(action, ctx);
-      }
+    for (const BoundAction& action : *plan->actions) {
+      action.def->run(action, ctx);
     }
     ++plan->completed;
   }
@@ -76,8 +75,11 @@ struct VmTaskResult {
   Status status = Status::Ok();
 };
 
-VmTaskResult RunOneVm(const ScenarioSpec& spec, const VmEntrySpec& entry,
-                      size_t vm_index, const ScenarioOptions& options) {
+// `bound` holds each group's actions, bound once for the whole scenario.
+VmTaskResult RunOneVm(const ScenarioSpec& spec,
+                      const std::vector<std::vector<BoundAction>>& bound,
+                      const VmEntrySpec& entry, size_t vm_index,
+                      const ScenarioOptions& options) {
   VmTaskResult out;
   out.vm.name = entry.name;
   out.vm.variant = entry.variant;
@@ -121,7 +123,8 @@ VmTaskResult RunOneVm(const ScenarioSpec& spec, const VmEntrySpec& entry,
   std::map<std::string, std::unique_ptr<GroupShared>> shared;
   std::vector<std::unique_ptr<WorkerPlan>> plans;
   std::map<std::string, std::vector<WorkerPlan*>> by_group;
-  for (const GroupSpec& group : spec.groups) {
+  for (size_t g = 0; g < spec.groups.size(); ++g) {
+    const GroupSpec& group = spec.groups[g];
     if (group.vm != entry.name) {
       continue;
     }
@@ -132,8 +135,10 @@ VmTaskResult RunOneVm(const ScenarioSpec& spec, const VmEntrySpec& entry,
     for (int w = 0; w < group.workers; ++w) {
       auto plan = std::make_unique<WorkerPlan>();
       plan->group = &group;
+      plan->actions = &bound[g];
       plan->worker = w;
       plan->ctx->worker = w;
+      plan->ctx->channels.resize(spec.channels.size());
       plan->ctx->group = group_shared.get();
       plan->ctx->prng = vm_prng.Fork();
       members.push_back(plan.get());
@@ -172,7 +177,8 @@ VmTaskResult RunOneVm(const ScenarioSpec& spec, const VmEntrySpec& entry,
 
   // Wire channels: a full bipartite pairing between the two groups' workers,
   // fds installed before the scheduler first runs any fiber.
-  for (const ChannelSpec& channel : spec.channels) {
+  for (size_t c = 0; c < spec.channels.size(); ++c) {
+    const ChannelSpec& channel = spec.channels[c];
     auto from_it = by_group.find(channel.from);
     auto to_it = by_group.find(channel.to);
     if (from_it == by_group.end() || to_it == by_group.end()) {
@@ -180,8 +186,8 @@ VmTaskResult RunOneVm(const ScenarioSpec& spec, const VmEntrySpec& entry,
     }
     for (WorkerPlan* from : from_it->second) {
       for (WorkerPlan* to : to_it->second) {
-        ChannelEnds& fe = from->ctx->channels[channel.name];
-        ChannelEnds& te = to->ctx->channels[channel.name];
+        ChannelEnds& fe = from->ctx->channels[c];
+        ChannelEnds& te = to->ctx->channels[c];
         fe.kind = te.kind = channel.kind;
         if (channel.kind == ChannelKind::kPipe) {
           // Two pipes per pair so ping-pong works.
@@ -344,6 +350,17 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
   ScenarioResult result;
   result.name = spec.name;
 
+  // Bind every action once; the pool threads only read the result.
+  std::vector<std::vector<BoundAction>> bound(spec.groups.size());
+  for (size_t g = 0; g < spec.groups.size(); ++g) {
+    for (const ActionSpec& action : spec.groups[g].actions) {
+      BoundAction b = BindAction(action, spec.channels);
+      if (b.def != nullptr) {
+        bound[g].push_back(std::move(b));
+      }
+    }
+  }
+
   // Each VM is a self-contained simulation; fan them out on the host pool.
   std::vector<VmTaskResult> tasks(spec.vms.size());
   {
@@ -352,7 +369,9 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
     futures.reserve(spec.vms.size());
     for (size_t i = 0; i < spec.vms.size(); ++i) {
       futures.push_back(pool.Submit(
-          [&spec, i, &options] { return RunOneVm(spec, spec.vms[i], i, options); }));
+          [&spec, &bound, i, &options] {
+            return RunOneVm(spec, bound, spec.vms[i], i, options);
+          }));
     }
     for (size_t i = 0; i < futures.size(); ++i) {
       tasks[i] = futures[i].get();

@@ -81,6 +81,14 @@ class Histogram {
     acc_.Add(x);
     quantiles_.Add(x);
   }
+  // `n` Observe(x) calls under one lock hold: the same state, bit for bit.
+  void ObserveRepeated(double x, uint64_t n) {
+    std::lock_guard lock(mu_);
+    for (uint64_t i = 0; i < n; ++i) {
+      acc_.Add(x);  // Welford: each step depends on the last, so no shortcut
+    }
+    quantiles_.AddRepeated(x, n);
+  }
 
   struct Summary {
     size_t count = 0;
@@ -100,9 +108,10 @@ class Histogram {
     s.mean = acc_.mean();
     s.max = acc_.max();
     s.sum = acc_.sum();
-    s.p50 = quantiles_.p50();
-    s.p95 = quantiles_.p95();
-    s.p99 = quantiles_.p99();
+    const StreamingPercentiles::Tails tails = quantiles_.TailQuantiles();
+    s.p50 = tails.p50;
+    s.p95 = tails.p95;
+    s.p99 = tails.p99;
     return s;
   }
   size_t count() const {

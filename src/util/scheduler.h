@@ -123,9 +123,9 @@ class WorkStealingScheduler {
     int home = 0;
     int pin = -1;
     Nanos cost = 0;
-    std::vector<size_t> deps;
-    std::vector<size_t> groups;
-    std::string label;
+    std::vector<size_t> deps{};
+    std::vector<size_t> groups{};
+    std::string label{};
     Nanos release = 0;  // Earliest virtual dispatch instant (see TaskSpec).
   };
   static Report Simulate(const Options& options, const std::vector<SimTask>& tasks,

@@ -29,15 +29,19 @@ double Accumulator::Variance() const {
 double Accumulator::Stddev() const { return std::sqrt(Variance()); }
 
 double Percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) {
+  std::sort(samples.begin(), samples.end());
+  return SortedPercentile(samples, p);
+}
+
+double SortedPercentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) {
     return 0.0;
   }
-  std::sort(samples.begin(), samples.end());
-  double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
+  double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, samples.size() - 1);
+  size_t hi = std::min(lo + 1, sorted.size() - 1);
   double frac = rank - static_cast<double>(lo);
-  return samples[lo] + (samples[hi] - samples[lo]) * frac;
+  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
 double Mean(const std::vector<double>& samples) {
@@ -61,12 +65,25 @@ StreamingPercentiles::StreamingPercentiles(size_t capacity)
   samples_.reserve(capacity_);
 }
 
-void StreamingPercentiles::Add(double x) {
-  ++count_;
-  if (++phase_ < stride_) {
-    return;  // Decimated away.
+void StreamingPercentiles::Add(double x) { AddRepeated(x, 1); }
+
+void StreamingPercentiles::AddRepeated(double x, size_t n) {
+  while (n > 0) {
+    // The arrival that brings phase_ up to stride_ is recorded.
+    const size_t until_recorded = stride_ - phase_;
+    if (n < until_recorded) {
+      count_ += n;
+      phase_ += n;  // All decimated away.
+      return;
+    }
+    count_ += until_recorded;
+    n -= until_recorded;
+    phase_ = 0;
+    Record(x);
   }
-  phase_ = 0;
+}
+
+void StreamingPercentiles::Record(double x) {
   if (samples_.size() == capacity_) {
     // Halve: keep every other retained sample (arrival order preserved) and
     // double the stride so future arrivals are sampled at the new rate.
@@ -82,6 +99,13 @@ void StreamingPercentiles::Add(double x) {
 
 double StreamingPercentiles::Quantile(double p) const {
   return Percentile(samples_, p);
+}
+
+StreamingPercentiles::Tails StreamingPercentiles::TailQuantiles() const {
+  std::vector<double> sorted = samples_;
+  std::sort(sorted.begin(), sorted.end());
+  return {SortedPercentile(sorted, 50), SortedPercentile(sorted, 95),
+          SortedPercentile(sorted, 99)};
 }
 
 }  // namespace lupine

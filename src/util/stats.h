@@ -31,6 +31,8 @@ class Accumulator {
 
 // Percentile over a copied sample set (nearest-rank).
 double Percentile(std::vector<double> samples, double p);
+// The same interpolation over samples already sorted ascending.
+double SortedPercentile(const std::vector<double>& sorted, double p);
 
 double Mean(const std::vector<double>& samples);
 double Stddev(const std::vector<double>& samples);
@@ -49,6 +51,8 @@ class StreamingPercentiles {
   explicit StreamingPercentiles(size_t capacity = 4096);
 
   void Add(double x);
+  // Same state as `n` Add(x) calls, skipping the arrivals decimation drops.
+  void AddRepeated(double x, size_t n);
 
   // Quantile in [0, 100] over the retained samples (interpolated, same
   // convention as Percentile()). Exact when count() <= capacity().
@@ -57,11 +61,21 @@ class StreamingPercentiles {
   double p95() const { return Quantile(95); }
   double p99() const { return Quantile(99); }
 
+  // p50/p95/p99 from a single sort; each equals its accessor exactly.
+  struct Tails {
+    double p50 = 0.0;
+    double p95 = 0.0;
+    double p99 = 0.0;
+  };
+  Tails TailQuantiles() const;
+
   size_t count() const { return count_; }        // Samples seen.
   size_t retained() const { return samples_.size(); }
   size_t capacity() const { return capacity_; }
 
  private:
+  void Record(double x);
+
   size_t capacity_;
   size_t stride_ = 1;   // Record every stride-th arrival.
   size_t phase_ = 0;    // Arrivals since the last recorded sample.

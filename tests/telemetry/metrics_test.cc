@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -58,6 +59,50 @@ TEST(MetricRegistryTest, HistogramSummaryAndPercentiles) {
   EXPECT_NEAR(s.p50, 50.5, 1.0);
   EXPECT_NEAR(s.p95, 95.0, 1.5);
   EXPECT_NEAR(s.p99, 99.0, 1.5);
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+void ExpectSameSummary(const Histogram::Summary& a, const Histogram::Summary& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_TRUE(SameBits(a.min, b.min));
+  EXPECT_TRUE(SameBits(a.mean, b.mean));
+  EXPECT_TRUE(SameBits(a.max, b.max));
+  EXPECT_TRUE(SameBits(a.sum, b.sum));
+  EXPECT_TRUE(SameBits(a.p50, b.p50)) << a.p50 << " vs " << b.p50;
+  EXPECT_TRUE(SameBits(a.p95, b.p95)) << a.p95 << " vs " << b.p95;
+  EXPECT_TRUE(SameBits(a.p99, b.p99)) << a.p99 << " vs " << b.p99;
+}
+
+// ObserveRepeated(x, n) must leave exactly the state of n Observe(x) calls,
+// including the reservoir's decimation stride and phase: the runs below
+// cross the capacity boundary, and distinct samples observed afterwards
+// would expose any difference in where the next sample lands.
+TEST(HistogramBulkTest, ObserveRepeatedIsBitIdenticalToObserveLoop) {
+  constexpr size_t kCap = 64;
+  for (uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{2}, uint64_t{kCap - 1},
+                     uint64_t{kCap}, uint64_t{kCap + 1}, uint64_t{5 * kCap + 3}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Histogram bulk(kCap);
+    Histogram loop(kCap);
+    for (int i = 0; i < 37; ++i) {
+      const double x = 1000.0 / (i + 3) + i * 0.37;
+      bulk.Observe(x);
+      loop.Observe(x);
+    }
+    const double body = 123.456789;
+    bulk.ObserveRepeated(body, n);
+    for (uint64_t i = 0; i < n; ++i) {
+      loop.Observe(body);
+    }
+    ExpectSameSummary(bulk.Snapshot(), loop.Snapshot());
+    for (int i = 0; i < 29; ++i) {
+      const double x = 7.0 * i - 50.0 / (i + 1);
+      bulk.Observe(x);
+      loop.Observe(x);
+    }
+    ExpectSameSummary(bulk.Snapshot(), loop.Snapshot());
+  }
 }
 
 TEST(MetricRegistryTest, CollectIsStableOrderAndComplete) {

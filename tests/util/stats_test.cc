@@ -98,6 +98,21 @@ TEST(StreamingPercentilesTest, DeterministicAcrossIdenticalStreams) {
   EXPECT_DOUBLE_EQ(a.p99(), b.p99());
 }
 
+// The single-sort tail quantiles must equal the per-quantile accessors
+// exactly, decimated or not.
+TEST(StreamingPercentilesTest, TailQuantilesEqualAccessorsExactly) {
+  for (size_t samples : {0u, 1u, 7u, 64u, 65u, 1000u}) {
+    StreamingPercentiles sp(64);
+    for (size_t i = 0; i < samples; ++i) {
+      sp.Add(static_cast<double>((i * 7919) % 101) + 0.5 / static_cast<double>(i + 1));
+    }
+    const StreamingPercentiles::Tails tails = sp.TailQuantiles();
+    EXPECT_EQ(tails.p50, sp.p50()) << samples;
+    EXPECT_EQ(tails.p95, sp.p95()) << samples;
+    EXPECT_EQ(tails.p99, sp.p99()) << samples;
+  }
+}
+
 TEST(StreamingPercentilesTest, TinyCapacityNeverOverflows) {
   StreamingPercentiles sp(1);
   for (int i = 0; i < 100; ++i) {
